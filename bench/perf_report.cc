@@ -804,13 +804,9 @@ int Run(const std::string& out_path) {
 
   // --- Open-loop executor load ----------------------------------------
   // Calibrate against the executor's own closed-loop round-trip (which
-  // includes dispatch, the coalesce-window linger, and promise/future
-  // overhead — on a small machine that is several times the bare query
-  // cost), then drive two arrival rates: moderate (~half the calibrated
-  // capacity), where everything should be admitted, and overload (~2x),
-  // where the bounded lane is expected to shed the excess with
-  // ResourceExhausted instead of letting the backlog (and p99) grow
-  // without bound.
+  // includes the dispatcher and promise/future hand-offs — on a small
+  // machine that is several times the bare query cost), then drive
+  // three arrival rates relative to that capacity (see below).
   double exec_rt_ns = 0;
   {
     AsyncExecutor calib(&svc);
@@ -826,8 +822,9 @@ int Run(const std::string& out_path) {
       Report("executor_single_query_roundtrip", exec_rt_ns, 0, 1));
   const double capacity_qps = 1e9 / exec_rt_ns;
   // 0.5x: everything admitted, batches of 1. 2x: micro-batching kicks
-  // in and absorbs the excess (coalescing amortizes the dispatch +
-  // linger overhead across up to max_batch jobs). 32x: past what
+  // in and absorbs the excess (jobs queued behind a running batch form
+  // the next one, amortizing the dispatch overhead across up to
+  // max_batch jobs). 32x: past what
   // max_batch=16 coalescing can amortize on any machine, so the
   // bounded lane sheds — that rejection count is admission control
   // doing its job.

@@ -16,7 +16,6 @@
 #ifndef TABBIN_EXEC_BOUNDED_QUEUE_H_
 #define TABBIN_EXEC_BOUNDED_QUEUE_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <optional>
@@ -26,11 +25,11 @@
 
 namespace tabbin {
 
-/// \brief Outcome of a conditional (coalescing) dequeue attempt.
+/// \brief Outcome of a conditional dequeue attempt.
 enum class DequeueIf {
   kPopped,    ///< front matched the predicate and was dequeued into *out
-  kRejected,  ///< front exists but the predicate declined it (batch ends)
-  kTimeout,   ///< deadline passed with the queue empty
+  kRejected,  ///< the consumer declined: nothing was taken (batch ends)
+  kEmpty,     ///< nothing queued (TryDequeueIf never waits for more)
   kClosed,    ///< closed and fully drained
 };
 
@@ -59,36 +58,52 @@ class BoundedQueue {
   /// \brief Blocks for the next item; nullopt once closed AND drained
   /// (items admitted before Close are always delivered).
   std::optional<T> WaitDequeue() TABBIN_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    while (items_.empty() && !closed_) cv_.wait(mu_);
-    if (items_.empty()) return std::nullopt;
-    T out = std::move(items_.front());
-    items_.pop_front();
+    T out;
+    if (WaitDequeueUnless([] { return false; }, &out) != DequeueIf::kPopped) {
+      return std::nullopt;
+    }
     return out;
   }
 
-  /// \brief Coalescing dequeue: pops the front into *out iff
-  /// pred(front), waiting until `deadline` for an item to appear. The
-  /// kRejected outcome leaves the incompatible front in place — it
+  /// \brief Batch-filling dequeue: pops the front into *out iff
+  /// pred(front). Never blocks — a batch takes only what is already
+  /// queued. kRejected leaves the incompatible front in place; it
   /// becomes the head of the consumer's next batch.
   template <typename Pred>
-  DequeueIf WaitDequeueIfUntil(const Pred& pred,
-                               std::chrono::steady_clock::time_point deadline,
-                               T* out) TABBIN_EXCLUDES(mu_) {
+  DequeueIf TryDequeueIf(const Pred& pred, T* out) TABBIN_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    for (;;) {
-      if (!items_.empty()) {
-        if (!pred(items_.front())) return DequeueIf::kRejected;
-        *out = std::move(items_.front());
-        items_.pop_front();
-        return DequeueIf::kPopped;
-      }
-      if (closed_) return DequeueIf::kClosed;
-      if (cv_.wait_until(mu_, deadline) == std::cv_status::timeout &&
-          items_.empty()) {
-        return DequeueIf::kTimeout;
-      }
+    if (items_.empty()) {
+      return closed_ ? DequeueIf::kClosed : DequeueIf::kEmpty;
     }
+    if (!pred(items_.front())) return DequeueIf::kRejected;
+    *out = std::move(items_.front());
+    items_.pop_front();
+    return DequeueIf::kPopped;
+  }
+
+  /// \brief Blocks (untimed) until an item is queued, the queue is
+  /// closed, or stop() holds; then pops the front into *out unless
+  /// stop() holds (kRejected, nothing taken). stop() runs under the
+  /// queue's mutex, so a thread that makes it true and then calls
+  /// Wake() can never lose the wakeup.
+  template <typename Stop>
+  DequeueIf WaitDequeueUnless(const Stop& stop, T* out)
+      TABBIN_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    while (items_.empty() && !closed_ && !stop()) cv_.wait(mu_);
+    if (stop()) return DequeueIf::kRejected;
+    if (items_.empty()) return DequeueIf::kClosed;
+    *out = std::move(items_.front());
+    items_.pop_front();
+    return DequeueIf::kPopped;
+  }
+
+  /// \brief Wakes every blocked consumer so it re-checks its stop
+  /// condition. Notifies under the mutex: a consumer is either before
+  /// its check (and will see the new state) or already waiting.
+  void Wake() TABBIN_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    cv_.notify_all();
   }
 
   /// \brief Stops admissions (TryEnqueue fails from now on) and wakes

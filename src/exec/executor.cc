@@ -9,9 +9,6 @@ namespace {
 
 ExecutorOptions Sanitize(ExecutorOptions o) {
   if (o.max_batch == 0) o.max_batch = 1;
-  if (o.coalesce_window.count() < 0) {
-    o.coalesce_window = std::chrono::microseconds{0};
-  }
   return o;
 }
 
@@ -24,6 +21,17 @@ bool Coalescable(JobKind kind) {
 Status Rejected(const char* lane) {
   return Status::ResourceExhausted(
       std::string(lane) + " lane rejected: queue at capacity or shut down");
+}
+
+// Own the inline table: the caller's pointer need not outlive the
+// submit. The stored request keeps table = nullptr; the dispatcher
+// re-points it at the owned copy when the batch is built.
+template <typename Req>
+void OwnInlineTable(Job* job, Req* stored) {
+  if (stored->table == nullptr) return;
+  job->query_table = *stored->table;
+  job->has_query_table = true;
+  stored->table = nullptr;
 }
 
 }  // namespace
@@ -61,31 +69,28 @@ void AsyncExecutor::Shutdown() {
 
 // --- Submits ---------------------------------------------------------------
 
+template <typename R>
+std::future<R> AsyncExecutor::Admit(BoundedQueue<Job>* lane,
+                                    const char* lane_name,
+                                    std::promise<R> Job::*promise, Job job) {
+  std::future<R> fut = (job.*promise).get_future();
+  const bool admitted = lane->TryEnqueue(std::move(job));
+  {
+    MutexLock lock(&stats_mu_);
+    ++(admitted ? stats_.submitted : stats_.rejected);
+  }
+  // A refused job was left untouched, so its promise is still ours.
+  if (!admitted) (job.*promise).set_value(Rejected(lane_name));
+  return fut;
+}
+
 std::future<Result<QueryResponse>> AsyncExecutor::SubmitSimilarColumns(
     const ColumnQueryRequest& req) {
   Job job;
   job.kind = JobKind::kSimilarColumns;
   job.col = req;
-  if (req.table != nullptr) {
-    // Own the inline table: the caller's pointer need not outlive this
-    // call. The stored request keeps table = nullptr; the dispatcher
-    // re-points it at the owned copy when the batch is built.
-    job.query_table = *req.table;
-    job.has_query_table = true;
-    job.col.table = nullptr;
-  }
-  std::future<Result<QueryResponse>> fut = job.query_promise.get_future();
-  if (read_queue_.TryEnqueue(std::move(job))) {
-    MutexLock lock(&stats_mu_);
-    ++stats_.submitted;
-  } else {
-    {
-      MutexLock lock(&stats_mu_);
-      ++stats_.rejected;
-    }
-    job.query_promise.set_value(Rejected("read"));
-  }
-  return fut;
+  OwnInlineTable(&job, &job.col);
+  return Admit(&read_queue_, "read", &Job::query_promise, std::move(job));
 }
 
 std::future<Result<QueryResponse>> AsyncExecutor::SubmitSimilarTables(
@@ -93,23 +98,8 @@ std::future<Result<QueryResponse>> AsyncExecutor::SubmitSimilarTables(
   Job job;
   job.kind = JobKind::kSimilarTables;
   job.tbl = req;
-  if (req.table != nullptr) {
-    job.query_table = *req.table;
-    job.has_query_table = true;
-    job.tbl.table = nullptr;
-  }
-  std::future<Result<QueryResponse>> fut = job.query_promise.get_future();
-  if (read_queue_.TryEnqueue(std::move(job))) {
-    MutexLock lock(&stats_mu_);
-    ++stats_.submitted;
-  } else {
-    {
-      MutexLock lock(&stats_mu_);
-      ++stats_.rejected;
-    }
-    job.query_promise.set_value(Rejected("read"));
-  }
-  return fut;
+  OwnInlineTable(&job, &job.tbl);
+  return Admit(&read_queue_, "read", &Job::query_promise, std::move(job));
 }
 
 std::future<Result<QueryResponse>> AsyncExecutor::SubmitSimilarEntities(
@@ -117,23 +107,8 @@ std::future<Result<QueryResponse>> AsyncExecutor::SubmitSimilarEntities(
   Job job;
   job.kind = JobKind::kSimilarEntities;
   job.ent = req;
-  if (req.table != nullptr) {
-    job.query_table = *req.table;
-    job.has_query_table = true;
-    job.ent.table = nullptr;
-  }
-  std::future<Result<QueryResponse>> fut = job.query_promise.get_future();
-  if (read_queue_.TryEnqueue(std::move(job))) {
-    MutexLock lock(&stats_mu_);
-    ++stats_.submitted;
-  } else {
-    {
-      MutexLock lock(&stats_mu_);
-      ++stats_.rejected;
-    }
-    job.query_promise.set_value(Rejected("read"));
-  }
-  return fut;
+  OwnInlineTable(&job, &job.ent);
+  return Admit(&read_queue_, "read", &Job::query_promise, std::move(job));
 }
 
 std::future<Result<AskResponse>> AsyncExecutor::SubmitAsk(
@@ -141,18 +116,7 @@ std::future<Result<AskResponse>> AsyncExecutor::SubmitAsk(
   Job job;
   job.kind = JobKind::kAsk;
   job.ask = req;
-  std::future<Result<AskResponse>> fut = job.ask_promise.get_future();
-  if (read_queue_.TryEnqueue(std::move(job))) {
-    MutexLock lock(&stats_mu_);
-    ++stats_.submitted;
-  } else {
-    {
-      MutexLock lock(&stats_mu_);
-      ++stats_.rejected;
-    }
-    job.ask_promise.set_value(Rejected("read"));
-  }
-  return fut;
+  return Admit(&read_queue_, "read", &Job::ask_promise, std::move(job));
 }
 
 std::future<Result<AddReport>> AsyncExecutor::SubmitAddTables(
@@ -160,36 +124,14 @@ std::future<Result<AddReport>> AsyncExecutor::SubmitAddTables(
   Job job;
   job.kind = JobKind::kAddTables;
   job.add_tables = std::move(tables);
-  std::future<Result<AddReport>> fut = job.add_promise.get_future();
-  if (write_queue_.TryEnqueue(std::move(job))) {
-    MutexLock lock(&stats_mu_);
-    ++stats_.submitted;
-  } else {
-    {
-      MutexLock lock(&stats_mu_);
-      ++stats_.rejected;
-    }
-    job.add_promise.set_value(Rejected("write"));
-  }
-  return fut;
+  return Admit(&write_queue_, "write", &Job::add_promise, std::move(job));
 }
 
 std::future<Status> AsyncExecutor::SubmitRemoveTable(const std::string& id) {
   Job job;
   job.kind = JobKind::kRemoveTable;
   job.remove_id = id;
-  std::future<Status> fut = job.remove_promise.get_future();
-  if (write_queue_.TryEnqueue(std::move(job))) {
-    MutexLock lock(&stats_mu_);
-    ++stats_.submitted;
-  } else {
-    {
-      MutexLock lock(&stats_mu_);
-      ++stats_.rejected;
-    }
-    job.remove_promise.set_value(Rejected("write"));
-  }
-  return fut;
+  return Admit(&write_queue_, "write", &Job::remove_promise, std::move(job));
 }
 
 AsyncExecutor::Stats AsyncExecutor::stats() const {
@@ -206,6 +148,9 @@ void AsyncExecutor::PauseDispatchForTesting() {
   }
   MutexLock lock(&pause_mu_);
   pause_requested_.store(true, std::memory_order_release);
+  // An idle dispatcher blocks in the read queue with no timeout; wake
+  // it there so it re-checks the request and parks.
+  read_queue_.Wake();
   // Wait until the dispatcher is actually parked: from the moment this
   // returns, no read job leaves the queue, so a test can fill the lane
   // to exactly its capacity. Shutdown releases the park, and with it
@@ -238,40 +183,34 @@ void AsyncExecutor::PausePoint() {
 // --- Dispatcher (read lane) ------------------------------------------------
 
 void AsyncExecutor::DispatcherLoop() {
+  const auto paused = [this] {
+    return pause_requested_.load(std::memory_order_acquire);
+  };
   for (;;) {
     PausePoint();
     Job head;
-    // Short idle poll instead of an indefinite block: the dispatcher
-    // must notice a pause request even when no job ever arrives, and a
-    // pending pause must not let it consume the job that triggered the
-    // wakeup (the predicate refuses while a pause is requested).
-    const auto poll_deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(10);
-    const DequeueIf got = read_queue_.WaitDequeueIfUntil(
-        [this](const Job&) {
-          return !pause_requested_.load(std::memory_order_acquire);
-        },
-        poll_deadline, &head);
+    // Untimed: a submit, Close, or a pause request's Wake ends the
+    // wait. A pending pause must not let the dispatcher consume the job
+    // that woke it, so the stop condition wins over a queued job.
+    const DequeueIf got = read_queue_.WaitDequeueUnless(paused, &head);
     if (got == DequeueIf::kClosed) return;  // closed AND drained
-    if (got != DequeueIf::kPopped) continue;  // idle poll or pause pending
+    if (got != DequeueIf::kPopped) continue;  // pause pending
 
     std::vector<Job> batch;
     batch.push_back(std::move(head));
     if (Coalescable(batch.front().kind)) {
-      // Linger up to the coalesce window for more jobs of the same
-      // kind. An incompatible job at the front ends the batch and
-      // stays queued as the next head — jobs are never reordered, so
-      // a caller that observed response A before submitting B still
-      // sees A's effects ordered before B.
+      // Take the same-kind jobs already queued, never waiting for more.
+      // An incompatible job at the front ends the batch and stays
+      // queued as the next head — jobs are never reordered, so a caller
+      // that observed response A before submitting B still sees A's
+      // effects ordered before B.
       const JobKind kind = batch.front().kind;
-      const auto window_deadline =
-          std::chrono::steady_clock::now() + options_.coalesce_window;
+      const auto same_kind = [kind](const Job& j) { return j.kind == kind; };
       while (batch.size() < options_.max_batch) {
         Job next;
-        const DequeueIf more = read_queue_.WaitDequeueIfUntil(
-            [kind](const Job& j) { return j.kind == kind; },
-            window_deadline, &next);
-        if (more != DequeueIf::kPopped) break;
+        if (read_queue_.TryDequeueIf(same_kind, &next) != DequeueIf::kPopped) {
+          break;
+        }
         batch.push_back(std::move(next));
       }
     }
@@ -280,6 +219,21 @@ void AsyncExecutor::DispatcherLoop() {
     // reader count returns to zero between batches — the gap a writer
     // on the dedicated lane needs to acquire a reader-preferring
     // rwlock under 100%-duty read load.
+  }
+}
+
+template <typename Req>
+void AsyncExecutor::RunBatch(std::vector<Job>* batch, Req Job::*req,
+                             BatchFn<Req> fn) {
+  std::vector<Req> reqs;
+  reqs.reserve(batch->size());
+  for (Job& j : *batch) {
+    if (j.has_query_table) (j.*req).table = &j.query_table;
+    reqs.push_back(j.*req);
+  }
+  std::vector<Result<QueryResponse>> results = (serving_->*fn)(reqs);
+  for (size_t i = 0; i < batch->size(); ++i) {
+    (*batch)[i].query_promise.set_value(std::move(results[i]));
   }
 }
 
@@ -294,48 +248,15 @@ void AsyncExecutor::ExecuteReadBatch(std::vector<Job> batch) {
         std::max<uint64_t>(stats_.max_batch_seen, batch.size());
   }
   switch (batch.front().kind) {
-    case JobKind::kSimilarColumns: {
-      std::vector<ColumnQueryRequest> reqs;
-      reqs.reserve(batch.size());
-      for (Job& j : batch) {
-        if (j.has_query_table) j.col.table = &j.query_table;
-        reqs.push_back(j.col);
-      }
-      std::vector<Result<QueryResponse>> results =
-          serving_->SimilarColumnsBatch(reqs);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        batch[i].query_promise.set_value(std::move(results[i]));
-      }
+    case JobKind::kSimilarColumns:
+      RunBatch(&batch, &Job::col, &TabBinServing::SimilarColumnsBatch);
       break;
-    }
-    case JobKind::kSimilarTables: {
-      std::vector<TableQueryRequest> reqs;
-      reqs.reserve(batch.size());
-      for (Job& j : batch) {
-        if (j.has_query_table) j.tbl.table = &j.query_table;
-        reqs.push_back(j.tbl);
-      }
-      std::vector<Result<QueryResponse>> results =
-          serving_->SimilarTablesBatch(reqs);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        batch[i].query_promise.set_value(std::move(results[i]));
-      }
+    case JobKind::kSimilarTables:
+      RunBatch(&batch, &Job::tbl, &TabBinServing::SimilarTablesBatch);
       break;
-    }
-    case JobKind::kSimilarEntities: {
-      std::vector<EntityQueryRequest> reqs;
-      reqs.reserve(batch.size());
-      for (Job& j : batch) {
-        if (j.has_query_table) j.ent.table = &j.query_table;
-        reqs.push_back(j.ent);
-      }
-      std::vector<Result<QueryResponse>> results =
-          serving_->SimilarEntitiesBatch(reqs);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        batch[i].query_promise.set_value(std::move(results[i]));
-      }
+    case JobKind::kSimilarEntities:
+      RunBatch(&batch, &Job::ent, &TabBinServing::SimilarEntitiesBatch);
       break;
-    }
     case JobKind::kAsk:
       batch.front().ask_promise.set_value(serving_->Ask(batch.front().ask));
       break;

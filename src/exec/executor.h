@@ -15,13 +15,17 @@
 //    whose tail latency grows until everything times out.
 //
 //  * Micro-batching. One dispatcher thread drains the read lane,
-//    coalescing consecutive same-kind Similar* jobs that arrive within
-//    `coalesce_window` (up to `max_batch`) into ONE batched ranking
-//    pass (TabBinServing::Similar*Batch): one reader-lock hold and one
-//    stacked scoring sweep per shard for the whole batch, instead of
-//    per-query lock churn. Answers stay byte-identical to sequential
-//    single-query calls — batching shares the lock hold, never the
-//    per-query candidate sets or score arithmetic.
+//    coalescing consecutive same-kind Similar* jobs (up to `max_batch`)
+//    into ONE batched ranking pass (TabBinServing::Similar*Batch): one
+//    reader-lock hold and one stacked scoring sweep per shard for the
+//    whole batch, instead of per-query lock churn. Batches form from
+//    what is queued; an idle dispatcher never lingers. It blocks for a
+//    head job, takes the same-kind jobs already behind it without
+//    waiting, and executes — so a lone query dispatches at once, and
+//    under load the jobs that pile up while one batch runs form the
+//    next. Answers stay byte-identical to sequential single-query
+//    calls — batching shares the lock hold, never the per-query
+//    candidate sets or score arithmetic.
 //
 //  * Write fairness. Writes ride a DEDICATED lane with their own
 //    thread. Because reads execute as a serialized stream of batches,
@@ -38,7 +42,6 @@
 #define TABBIN_EXEC_EXECUTOR_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <future>
@@ -63,11 +66,6 @@ struct ExecutorOptions {
   size_t write_queue_depth = 64;
   /// Most Similar* jobs coalesced into one batched ranking pass.
   size_t max_batch = 16;
-  /// How long the dispatcher lingers for more coalescable arrivals
-  /// after picking up a batch head. 0 disables lingering: batches
-  /// still form from jobs already queued, but the dispatcher never
-  /// waits for stragglers.
-  std::chrono::microseconds coalesce_window{200};
 };
 
 class AsyncExecutor {
@@ -120,14 +118,30 @@ class AsyncExecutor {
   /// \brief Parks the dispatcher before its next dequeue and returns
   /// once it is parked — from then on submitted read jobs stay in the
   /// queue, so tests can fill the lane to capacity deterministically
-  /// and observe the overflow rejection. No-op after Shutdown.
+  /// and observe the overflow rejection. An idle dispatcher is woken
+  /// through the read queue (BoundedQueue::Wake), not polled. No-op
+  /// after Shutdown.
   void PauseDispatchForTesting() TABBIN_EXCLUDES(pause_mu_);
   void ResumeDispatchForTesting() TABBIN_EXCLUDES(pause_mu_);
 
  private:
+  template <typename Req>
+  using BatchFn = std::vector<Result<QueryResponse>> (TabBinServing::*)(
+      const std::vector<Req>&) const;
+
+  /// Admits `job` to `lane`, or satisfies its promise with
+  /// ResourceExhausted at once; counts either outcome in stats().
+  template <typename R>
+  std::future<R> Admit(BoundedQueue<Job>* lane, const char* lane_name,
+                       std::promise<R> Job::*promise, Job job)
+      TABBIN_EXCLUDES(stats_mu_);
   void DispatcherLoop();
   void WriterLoop();
   void ExecuteReadBatch(std::vector<Job> batch);
+  /// One coalesced ranking pass: `req` picks the job's request member,
+  /// `fn` the matching TabBinServing::Similar*Batch.
+  template <typename Req>
+  void RunBatch(std::vector<Job>* batch, Req Job::*req, BatchFn<Req> fn);
   void ExecuteWrite(Job job);
   /// Dispatcher-side half of the pause handshake: acks, then blocks
   /// until resumed (or released by Shutdown).
@@ -144,8 +158,8 @@ class AsyncExecutor {
 
   Mutex pause_mu_;
   std::condition_variable_any pause_cv_;
-  // Atomic so the dispatcher's coalescing predicate (which runs under
-  // the QUEUE's mutex) can read it without a second lock; the
+  // Atomic so the dispatcher's stop condition (which runs under the
+  // QUEUE's mutex) can read it without a second lock; the
   // check-then-wait in PausePoint still happens under pause_mu_, so
   // Pause/Resume/Shutdown flip it under pause_mu_ to rule out a lost
   // wakeup.

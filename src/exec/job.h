@@ -26,8 +26,8 @@
 namespace tabbin {
 
 /// \brief What a job asks of the serving layer. The three Similar*
-/// kinds are coalescable: consecutive jobs of the same kind within the
-/// dispatch window execute as ONE batched ranking pass. Ask and the
+/// kinds are coalescable: consecutive jobs of the same kind already
+/// queued together execute as ONE batched ranking pass. Ask and the
 /// write kinds always execute singly.
 enum class JobKind {
   kSimilarColumns,

@@ -230,6 +230,44 @@ class Parser {
     }
   }
 
+  // The four hex digits of a \u escape.
+  Result<unsigned> ParseHex4() {
+    if (pos_ + 4 > s_.size()) return Status::ParseError("bad \\u");
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      char h = s_[pos_++];
+      code <<= 4;
+      if (h >= '0' && h <= '9') {
+        code |= static_cast<unsigned>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        code |= static_cast<unsigned>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        code |= static_cast<unsigned>(h - 'A' + 10);
+      } else {
+        return Status::ParseError("bad \\u digit");
+      }
+    }
+    return code;
+  }
+
+  static void AppendUtf8(unsigned code, std::string* out) {
+    if (code < 0x80) {
+      *out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      *out += static_cast<char>(0xC0 | (code >> 6));
+      *out += static_cast<char>(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+      *out += static_cast<char>(0xE0 | (code >> 12));
+      *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      *out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      *out += static_cast<char>(0xF0 | (code >> 18));
+      *out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+      *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      *out += static_cast<char>(0x80 | (code & 0x3F));
+    }
+  }
+
   Result<std::string> ParseString() {
     TABBIN_RETURN_IF_ERROR(Expect('"'));
     std::string out;
@@ -264,32 +302,24 @@ class Parser {
             out += '\f';
             break;
           case 'u': {
-            if (pos_ + 4 > s_.size()) return Status::ParseError("bad \\u");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = s_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return Status::ParseError("bad \\u digit");
+            TABBIN_ASSIGN_OR_RETURN(unsigned code, ParseHex4());
+            if (code >= 0xDC00 && code <= 0xDFFF) {
+              return Status::ParseError("lone low surrogate \\u");
+            }
+            if (code >= 0xD800 && code <= 0xDBFF) {
+              // A high surrogate must be followed by a low one; the
+              // pair encodes one astral code point (4 UTF-8 bytes).
+              if (s_.compare(pos_, 2, "\\u") != 0) {
+                return Status::ParseError("unpaired high surrogate \\u");
               }
+              pos_ += 2;
+              TABBIN_ASSIGN_OR_RETURN(unsigned low, ParseHex4());
+              if (low < 0xDC00 || low > 0xDFFF) {
+                return Status::ParseError("unpaired high surrogate \\u");
+              }
+              code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
             }
-            // Encode as UTF-8 (basic multilingual plane only).
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
+            AppendUtf8(code, &out);
             break;
           }
           default:

@@ -1208,8 +1208,14 @@ Status ScatterRemoveTable(const ServingCore& core, const std::string& id) {
 }
 
 Status ScatterCompact(const ServingCore& core) {
-  for (ServiceShard* shard : *core.shards) {
-    TABBIN_RETURN_IF_ERROR(shard->Compact());
+  // Shards compact independently, each under its own writer lock, so
+  // their rebuilds (a graph rebuild per index under index_kind=hnsw)
+  // run in parallel. The first failing shard in shard order reports.
+  const std::vector<ServiceShard*>& shards = *core.shards;
+  std::vector<Status> statuses(shards.size());
+  ForEachShard(shards, [&](size_t i) { statuses[i] = shards[i]->Compact(); });
+  for (const Status& st : statuses) {
+    if (!st.ok()) return st;
   }
   return Status::OK();
 }

@@ -1,9 +1,10 @@
 // Tests for the async executor stack (src/exec/): BoundedQueue
-// admission semantics, byte-identity of single and coalesced answers
-// against direct serving calls (1 and 8 shards), deterministic
-// admission-overflow rejection, writer-lane progress under 100%-duty
-// readers with NO sleep throttling, and drain-on-shutdown. Run under
-// ASan/UBSan and TSan in CI.
+// admission and dequeue semantics, byte-identity of single and
+// coalesced answers against direct serving calls (1 and 8 shards),
+// batches that form only from queued jobs, an event-driven pause,
+// deterministic admission-overflow rejection, writer-lane progress
+// under 100%-duty readers with NO sleep throttling, and
+// drain-on-shutdown. Run under ASan/UBSan and TSan in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -115,29 +116,68 @@ TEST(BoundedQueueTest, CloseStopsAdmissionButDrainsAdmitted) {
   EXPECT_FALSE(q.WaitDequeue().has_value());  // drained: nullopt, no block
 }
 
-TEST(BoundedQueueTest, WaitDequeueIfUntilHonorsPredicateAndDeadline) {
+TEST(BoundedQueueTest, TryDequeueIfHonorsPredicateWithoutBlocking) {
   BoundedQueue<int> q(8);
-  const auto past = std::chrono::steady_clock::now();
   int out = 0;
-  // Empty queue, expired deadline: timeout.
-  EXPECT_EQ(q.WaitDequeueIfUntil([](int) { return true; }, past, &out),
-            DequeueIf::kTimeout);
+  // Empty queue: reports kEmpty at once instead of waiting for a job.
+  EXPECT_EQ(q.TryDequeueIf([](int) { return true; }, &out),
+            DequeueIf::kEmpty);
   ASSERT_TRUE(q.TryEnqueue(5));
   ASSERT_TRUE(q.TryEnqueue(6));
   // Incompatible front stays put and ends the attempt.
-  EXPECT_EQ(q.WaitDequeueIfUntil([](int v) { return v % 2 == 0; }, past,
-                                 &out),
+  EXPECT_EQ(q.TryDequeueIf([](int v) { return v % 2 == 0; }, &out),
             DequeueIf::kRejected);
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.WaitDequeueIfUntil([](int v) { return v == 5; }, past, &out),
+  EXPECT_EQ(q.TryDequeueIf([](int v) { return v == 5; }, &out),
             DequeueIf::kPopped);
   EXPECT_EQ(out, 5);
   q.Close();
-  EXPECT_EQ(q.WaitDequeueIfUntil([](int v) { return v == 6; }, past, &out),
+  EXPECT_EQ(q.TryDequeueIf([](int v) { return v == 6; }, &out),
             DequeueIf::kPopped);  // close still drains
   EXPECT_EQ(out, 6);
-  EXPECT_EQ(q.WaitDequeueIfUntil([](int) { return true; }, past, &out),
+  EXPECT_EQ(q.TryDequeueIf([](int) { return true; }, &out),
             DequeueIf::kClosed);
+}
+
+// The blocking dequeue has no deadline: only an item, Close, or a stop
+// condition announced through Wake ends it. A lost wakeup would hang
+// this test rather than be masked by a timed poll.
+TEST(BoundedQueueTest, WaitDequeueUnlessEndsOnItemStopOrClose) {
+  BoundedQueue<int> q(8);
+  std::atomic<bool> stop{false};
+  const auto stopped = [&stop] { return stop.load(); };
+  int out = 0;
+
+  // A blocked consumer takes the next admitted item.
+  std::thread consumer([&] {
+    EXPECT_EQ(q.WaitDequeueUnless(stopped, &out), DequeueIf::kPopped);
+  });
+  ASSERT_TRUE(q.TryEnqueue(7));
+  consumer.join();
+  EXPECT_EQ(out, 7);
+
+  // A blocked consumer on an empty queue returns once stop holds.
+  consumer = std::thread([&] {
+    EXPECT_EQ(q.WaitDequeueUnless(stopped, &out), DequeueIf::kRejected);
+  });
+  stop.store(true);
+  q.Wake();
+  consumer.join();
+
+  // The stop condition wins over a queued item: nothing is taken.
+  ASSERT_TRUE(q.TryEnqueue(8));
+  EXPECT_EQ(q.WaitDequeueUnless(stopped, &out), DequeueIf::kRejected);
+  EXPECT_EQ(q.size(), 1u);
+  stop.store(false);
+  EXPECT_EQ(q.WaitDequeueUnless(stopped, &out), DequeueIf::kPopped);
+  EXPECT_EQ(out, 8);
+
+  // Close releases a blocked consumer with kClosed once drained.
+  consumer = std::thread([&] {
+    EXPECT_EQ(q.WaitDequeueUnless(stopped, &out), DequeueIf::kClosed);
+  });
+  q.Close();
+  consumer.join();
 }
 
 // --- Byte-identity through the executor ------------------------------------
@@ -228,6 +268,70 @@ TEST(AsyncExecutorTest, CoalescedBatchesByteIdenticalToSequential) {
       ExpectIdenticalResult(efuts[i].get(), svc->SimilarEntities(ereqs[i]));
     }
   }
+}
+
+// Batches form only from what is queued: a query submitted after the
+// previous one was answered finds the lane empty and dispatches alone,
+// without waiting for company.
+TEST(AsyncExecutorTest, SequentialSubmitsDispatchSingly) {
+  auto svc = MakeLoadedServing(1);
+  AsyncExecutor exec(svc.get());
+  const auto& tables = SharedCorpus().corpus.tables;
+  for (size_t i = 0; i < 10; ++i) {
+    TableQueryRequest req{tables[i % tables.size()].id(), nullptr, 4};
+    ExpectIdenticalResult(exec.SubmitSimilarTables(req).get(),
+                          svc->SimilarTables(req));
+  }
+  const auto stats = exec.stats();
+  EXPECT_EQ(stats.submitted, 10u);
+  EXPECT_EQ(stats.batches, stats.submitted);
+  EXPECT_EQ(stats.max_batch_seen, 1u);
+}
+
+// A backlog is taken max_batch at a time: with every job queued before
+// the dispatcher runs, 10 jobs at max_batch 4 form exactly 4 + 4 + 2.
+TEST(AsyncExecutorTest, PrefilledLaneDrainsInBatchesOfMaxBatch) {
+  auto svc = MakeLoadedServing(1);
+  ExecutorOptions opts;
+  opts.max_batch = 4;
+  AsyncExecutor exec(svc.get(), opts);
+  const auto& tables = SharedCorpus().corpus.tables;
+  exec.PauseDispatchForTesting();
+  std::vector<ColumnQueryRequest> reqs;
+  std::vector<std::future<Result<QueryResponse>>> futs;
+  for (size_t i = 0; i < 10; ++i) {
+    ColumnQueryRequest req{tables[i % tables.size()].id(), nullptr, 0, 3};
+    reqs.push_back(req);
+    futs.push_back(exec.SubmitSimilarColumns(req));
+  }
+  exec.ResumeDispatchForTesting();
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    ExpectIdenticalResult(futs[i].get(), svc->SimilarColumns(reqs[i]));
+  }
+  const auto stats = exec.stats();
+  EXPECT_EQ(stats.batches, 3u);
+  EXPECT_EQ(stats.batched_jobs, 10u);
+  EXPECT_EQ(stats.max_batch_seen, 4u);
+}
+
+// The dispatcher of an idle executor blocks in the read queue with no
+// timeout, so a pause must reach it through the queue's wakeup. Each
+// round first lets it go idle (a query answered, nothing queued), then
+// pauses and resumes; with a lost wakeup this hangs instead of passing.
+TEST(AsyncExecutorTest, PauseAndResumeOnIdleExecutorAreEventDriven) {
+  auto svc = MakeLoadedServing(1);
+  AsyncExecutor exec(svc.get());
+  const std::string id = SharedCorpus().corpus.tables[0].id();
+  for (int round = 0; round < 20; ++round) {
+    ASSERT_TRUE(exec.SubmitSimilarTables({id, nullptr, 3}).get().ok());
+    exec.PauseDispatchForTesting();
+    exec.ResumeDispatchForTesting();
+  }
+  // Pausing with the lane already idle, then resuming, still answers.
+  exec.PauseDispatchForTesting();
+  exec.ResumeDispatchForTesting();
+  EXPECT_TRUE(exec.SubmitSimilarTables({id, nullptr, 3}).get().ok());
+  EXPECT_EQ(exec.stats().batches, 21u);
 }
 
 TEST(AsyncExecutorTest, InlineQueryTablesAreCopiedIntoTheJob) {

@@ -68,6 +68,58 @@ TEST(JsonTest, DumpParseRoundTrip) {
   EXPECT_TRUE(j["list"].at(1).is_null());
 }
 
+// A JSON string literal whose text is `body`; U(hex) spells one
+// \uXXXX escape.
+std::string Quoted(const std::string& body) { return "\"" + body + "\""; }
+std::string U(const char* hex) { return std::string("\\u") + hex; }
+
+// A UTF-16 surrogate pair is one astral code point: it must decode to
+// one 4-byte UTF-8 sequence, not two 3-byte halves (CESU-8).
+TEST(JsonTest, SurrogatePairDecodesToOneUtf8Sequence) {
+  auto r = Json::Parse(Quoted(U("d83d") + U("de00")));  // U+1F600
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().as_string(), "\xF0\x9F\x98\x80");
+  // Upper-case hex, text around the pair, and BMP escapes beside it.
+  auto mixed = Json::Parse(
+      Quoted("a" + U("D834") + U("DD1E") + "b" + U("00e9") + U("4e2d")));
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  EXPECT_EQ(mixed.value().as_string(),
+            "a\xF0\x9D\x84\x9E"  // U+1D11E
+            "b\xC3\xA9\xE4\xB8\xAD");
+}
+
+TEST(JsonTest, RejectsLoneAndUnpairedSurrogates) {
+  const std::string bad[] = {
+      Quoted(U("d83d")),              // lone high surrogate at the end
+      Quoted(U("d83d") + "x"),        // high surrogate, then plain text
+      Quoted(U("de00")),              // lone low surrogate
+      Quoted(U("de00") + U("d83d")),  // a pair in the wrong order
+      Quoted(U("d83d") + U("0041")),  // high surrogate, non-surrogate
+      Quoted(U("d83d") + U("d83d")),  // high surrogate, another high
+      Quoted(U("d83d") + "\\n"),     // high surrogate, another escape
+  };
+  for (const std::string& text : bad) {
+    auto r = Json::Parse(text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << text;
+  }
+}
+
+TEST(JsonTest, AstralTextRoundTripsThroughDump) {
+  auto parsed = Json::Parse("{\"caption\": " +
+                            Quoted("smile " + U("d83d") + U("de00") +
+                                   " done") +
+                            "}");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::string caption = parsed.value().GetString("caption");
+  EXPECT_EQ(caption, "smile \xF0\x9F\x98\x80 done");
+  // Dump writes the UTF-8 bytes as they are; parsing them back gives
+  // the same string.
+  auto again = Json::Parse(parsed.value().Dump());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again.value().GetString("caption"), caption);
+}
+
 TEST(JsonTest, CheckedGettersUseFallbacks) {
   Json obj = Json::Object();
   obj.Set("x", Json::Str("not a number"));

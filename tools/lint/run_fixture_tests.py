@@ -2,10 +2,13 @@
 """Selftest for tabbin_lint over tools/lint/fixtures/.
 
 Contract pinned here:
-  * every fixtures/bad/<rule>.cc trips EXACTLY its named rule (the
+  * every fixtures/bad/**/<rule>.cc trips EXACTLY its named rule (the
     rule is the filename with '_' -> '-'), at least once, and no
     other rule;
-  * every fixtures/good/*.cc produces zero findings;
+  * every fixtures/good/**/*.cc produces zero findings;
+
+A fixture for a path-scoped rule sits in a subdirectory named like the
+scope (e.g. bad/exec/ for a rule that polices exec/ directories).
   * --list-rules covers every rule a bad fixture names.
 
 Run from anywhere: paths are resolved relative to this script.
@@ -36,13 +39,23 @@ def run_lint(path):
     return proc.returncode, rules, proc.stdout
 
 
+def fixtures_under(base):
+    """Every .cc fixture below `base`, as paths relative to it."""
+    out = []
+    for dirpath, _, names in os.walk(base):
+        for name in names:
+            if name.endswith(".cc"):
+                out.append(os.path.relpath(os.path.join(dirpath, name), base))
+    return sorted(out)
+
+
 def main():
     failures = []
 
     bad_dir = os.path.join(FIXTURES, "bad")
     good_dir = os.path.join(FIXTURES, "good")
-    bad = sorted(f for f in os.listdir(bad_dir) if f.endswith(".cc"))
-    good = sorted(f for f in os.listdir(good_dir) if f.endswith(".cc"))
+    bad = fixtures_under(bad_dir)
+    good = fixtures_under(good_dir)
     if not bad or not good:
         print("FAIL: fixture directories are empty")
         return 1
@@ -53,7 +66,8 @@ def main():
     catalog = {line.split()[0] for line in listed.splitlines() if line}
 
     for name in bad:
-        expected = os.path.splitext(name)[0].replace("_", "-")
+        expected = os.path.splitext(os.path.basename(name))[0].replace(
+            "_", "-")
         code, rules, out = run_lint(os.path.join(bad_dir, name))
         tag = "bad/" + name
         if expected not in catalog:

@@ -60,6 +60,15 @@ unbounded-exec-queue
     exact failure mode the admission-controlled executor exists to
     prevent.
 
+exec-timed-wait
+    No timed wait or sleep (wait_for, wait_until, sleep_for,
+    sleep_until) in src/exec/. The dispatcher once lingered a fixed
+    window after every job and polled for pause requests every 10 ms,
+    which made a lone query pay the window even with nothing else
+    queued. Both lanes block untimed and are woken by events: a
+    submit, Close, or BoundedQueue::Wake. Batches form from what is
+    already queued, so no lane needs a timer.
+
 Suppression
 -----------
 Findings are suppressed with an explicit, rule-scoped marker on the
@@ -112,6 +121,10 @@ RULES = {
         "hand-rolled float distance loop in index-layer code "
         "(src/index/ computes every distance through "
         "EmbeddingMatrix::CosineRows / tensor/kernels.h)"
+    ),
+    "exec-timed-wait": (
+        "timed wait or sleep in executor code (src/exec/ lanes block "
+        "untimed and are woken by events)"
     ),
 }
 
@@ -505,6 +518,29 @@ def rule_index_distance_bypass(path, code_lines, fn_ranges, mask):
     return findings
 
 
+EXEC_PATH_RE = re.compile(r"(^|/)exec/")
+TIMED_WAIT_RE = re.compile(
+    r"\b(wait_for|wait_until|sleep_for|sleep_until)\s*\(")
+
+
+def rule_exec_timed_wait(path, code_lines, fn_ranges, mask):
+    """Any timed wait or sleep in an exec/ directory: a lane that wakes
+    on a timer either adds the timer's latency to a request or polls
+    for an event it should be told about."""
+    if not EXEC_PATH_RE.search(path):
+        return []
+    findings = []
+    for idx, line in enumerate(code_lines):
+        m = TIMED_WAIT_RE.search(line)
+        if m:
+            findings.append(Finding(
+                path, idx + 1, "exec-timed-wait",
+                "'%s' in executor code; block untimed and wake on the "
+                "event instead (a submit, Close, or BoundedQueue::Wake)"
+                % m.group(1)))
+    return findings
+
+
 RULE_FNS = {
     "encode-under-lock": rule_encode_under_lock,
     "raw-row-mutation": rule_raw_row_mutation,
@@ -513,6 +549,7 @@ RULE_FNS = {
     "raw-mmap": rule_raw_mmap,
     "unbounded-exec-queue": rule_unbounded_exec_queue,
     "index-distance-bypass": rule_index_distance_bypass,
+    "exec-timed-wait": rule_exec_timed_wait,
 }
 
 
