@@ -373,6 +373,16 @@ Status HnswIndex::Insert(const EmbeddingMatrix& vecs, int id) {
   return Status::OK();
 }
 
+void HnswIndex::Reserve(size_t nodes) {
+  if (nodes <= nodes_) return;
+  EnsureOwnedLinks();
+  const auto grow = [](auto* v, size_t want) {
+    if (v->capacity() < want) v->reserve(std::max(want, 2 * v->capacity()));
+  };
+  grow(&links0_, nodes * stride_);
+  grow(&dead_, nodes);
+}
+
 void HnswIndex::MarkDead(int id) {
   if (id < 0 || static_cast<size_t>(id) >= nodes_) return;
   if (dead_[static_cast<size_t>(id)] == 0) {
@@ -582,7 +592,9 @@ Result<HnswIndex> HnswIndex::Restore(BinaryReader* meta, const uint8_t* l0,
                               meta->ReadBytes(count * sizeof(uint32_t)));
       auto& out = levels[l];
       out.resize(count);
-      std::memcpy(out.data(), raw.data(), raw.size());
+      // An empty list has no buffer to copy into (memcpy on null is UB
+      // even for zero bytes).
+      if (count > 0) std::memcpy(out.data(), raw.data(), raw.size());
       for (uint32_t n : out) {
         if (n >= nodes) {
           return Status::ParseError(
@@ -605,7 +617,7 @@ Result<HnswIndex> HnswIndex::Restore(BinaryReader* meta, const uint8_t* l0,
     index.keepalive_ = std::move(keepalive);
   } else {
     index.links0_.resize(static_cast<size_t>(nodes) * index.stride_);
-    std::memcpy(index.links0_.data(), l0, l0_bytes);
+    if (l0_bytes > 0) std::memcpy(index.links0_.data(), l0, l0_bytes);
   }
   return index;
 }

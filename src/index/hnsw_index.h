@@ -105,6 +105,14 @@ class HnswIndex {
   /// by row id, so gaps would alias adjacency across rows.
   Status Insert(const EmbeddingMatrix& vecs, int id);
 
+  /// \brief Makes room for `nodes` nodes in the level-0 block and the
+  /// tombstone flags, first copying a borrowed block into owned storage.
+  /// Capacity grows at least geometrically, so reserving batch after
+  /// batch stays amortized. A caller that runs Insert on other threads
+  /// reserves first, so these long-lived buffers are allocated on its
+  /// own thread (and in its malloc arena) rather than on a worker's.
+  void Reserve(size_t nodes);
+
   /// \brief Marks a node tombstoned: excluded from Search results,
   /// still traversed as a routing waypoint. Idempotent.
   void MarkDead(int id);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <future>
+#include <functional>
 #include <map>
 #include <unordered_set>
 #include <utility>
@@ -119,6 +119,37 @@ std::unordered_map<std::string, int> ServiceDocTermFrequencies(
 // ServiceShard
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Runs every extension as its own job, fanned out across
+// ThreadPool::Global() with the calling thread helping (FanOut). Each
+// graph still inserts its rows in row order, so the graphs are the same
+// bytes a serial loop builds. Only the inserts run on pool threads; the
+// collector already allocated everything long-lived.
+void ExtendGraphs(std::vector<ServiceShard::GraphExtension>* extensions) {
+  using GraphExtension = ServiceShard::GraphExtension;
+  // Longest job first, so the last job to start is a short one.
+  std::stable_sort(extensions->begin(), extensions->end(),
+                   [](const GraphExtension& a, const GraphExtension& b) {
+                     return a.end - a.begin > b.end - b.begin;
+                   });
+  FanOut(ThreadPool::Global(), extensions->size(), [extensions](size_t i) {
+    GraphExtension& e = (*extensions)[i];
+    for (int r = e.begin; r < e.end; ++r) {
+      // Widths were validated when the rows were stored, so a rejection
+      // is a programming error.
+      const Status st = e.graph->Insert(*e.vecs, r);
+      if (!st.ok()) {
+        TABBIN_LOG(ERROR) << "ServiceShard: hnsw insert rejected: "
+                          << st.ToString();
+      }
+    }
+    for (int r : e.dead_after) e.graph->MarkDead(r);
+  });
+}
+
+}  // namespace
+
 ServiceShard::ServiceShard(const TabBiNSystem* system,
                            const ServiceOptions& options)
     : system_(system),
@@ -203,7 +234,7 @@ void ServiceShard::InsertPreparedLocked(Table table, const std::string& id,
                                         PreparedTable&& prepared,
                                         AddReport* report) {
   // Every embedding width was validated by Prepare/InsertRows, so the
-  // index inserts below cannot legitimately fail; a rejection is a
+  // LSH inserts below cannot legitimately fail; a rejection is a
   // programming error worth shouting about rather than silently
   // dropping.
   auto must_insert = [](Status st) {
@@ -242,7 +273,6 @@ void ServiceShard::InsertPreparedLocked(Table table, const std::string& id,
   tbl_refs_.push_back(slot);
   s.tbl_row = static_cast<int>(tbl_refs_.size()) - 1;
   must_insert(tbl_index_.Insert(s.tbl_row, prepared.table_vec));
-  if (tbl_hnsw_) must_insert(tbl_hnsw_->Insert(tbl_vecs_, s.tbl_row));
 
   if (!prepared.columns.empty()) {
     s.col_begin = static_cast<int>(col_refs_.size());
@@ -253,7 +283,6 @@ void ServiceShard::InsertPreparedLocked(Table table, const std::string& id,
     col_refs_.push_back(ColumnRef{slot, c});
     const int row = static_cast<int>(col_refs_.size()) - 1;
     must_insert(col_index_.Insert(row, vec));
-    if (col_hnsw_) must_insert(col_hnsw_->Insert(col_vecs_, row));
     ++report->columns_indexed;
   }
   if (!prepared.entities.empty()) {
@@ -267,7 +296,6 @@ void ServiceShard::InsertPreparedLocked(Table table, const std::string& id,
     ent_refs_.push_back(std::move(full));
     const int row = static_cast<int>(ent_refs_.size()) - 1;
     must_insert(ent_index_.Insert(row, vec));
-    if (ent_hnsw_) must_insert(ent_hnsw_->Insert(ent_vecs_, row));
     ++report->entities_indexed;
   }
 }
@@ -275,12 +303,59 @@ void ServiceShard::InsertPreparedLocked(Table table, const std::string& id,
 void ServiceShard::InsertBatch(std::vector<Table> tables,
                                std::vector<std::string> ids,
                                std::vector<PreparedTable> prepared,
-                               AddReport* report) {
+                               AddReport* report,
+                               std::vector<GraphExtension>* pending,
+                               const std::function<void()>& then) {
   WriterMutexLock lock(&mu_);
+  const size_t first_slot = slots_.size();
   for (size_t i = 0; i < tables.size(); ++i) {
     InsertPreparedLocked(std::move(tables[i]), ids[i],
                          std::move(prepared[i]), report);
   }
+  CollectGraphExtensionsLocked(first_slot, pending);
+  then();
+}
+
+void ServiceShard::CollectGraphExtensionsLocked(
+    size_t first_slot, std::vector<GraphExtension>* out) {
+  const auto lagging = [](HnswIndex* graph, const EmbeddingMatrix& vecs) {
+    GraphExtension e;
+    if (graph == nullptr || graph->size() >= vecs.rows()) return e;
+    // The graph's level-0 block and tombstone flags live as long as the
+    // shard; reserving them here keeps them out of the malloc arenas of
+    // the pool threads that run the inserts.
+    graph->Reserve(vecs.rows());
+    e.graph = graph;
+    e.vecs = &vecs;
+    e.begin = static_cast<int>(graph->size());
+    e.end = static_cast<int>(vecs.rows());
+    return e;
+  };
+  GraphExtension tbl = lagging(tbl_hnsw_.get(), tbl_vecs_);
+  GraphExtension col = lagging(col_hnsw_.get(), col_vecs_);
+  GraphExtension ent = lagging(ent_hnsw_.get(), ent_vecs_);
+  const auto tombstone = [](GraphExtension* e, int begin, int end) {
+    if (e->graph == nullptr) return;
+    for (int r = std::max(begin, e->begin); r < end; ++r) {
+      e->dead_after.push_back(r);
+    }
+  };
+  for (size_t i = first_slot; i < slots_.size(); ++i) {
+    const TableSlot& s = slots_[i];
+    if (s.live) continue;
+    tombstone(&tbl, s.tbl_row, s.tbl_row + 1);
+    tombstone(&col, s.col_begin, s.col_end);
+    tombstone(&ent, s.ent_begin, s.ent_end);
+  }
+  for (GraphExtension* e : {&tbl, &col, &ent}) {
+    if (e->graph != nullptr) out->push_back(std::move(*e));
+  }
+}
+
+void ServiceShard::ExtendGraphsLocked(size_t first_slot) {
+  std::vector<GraphExtension> extensions;
+  CollectGraphExtensionsLocked(first_slot, &extensions);
+  ExtendGraphs(&extensions);
 }
 
 Status ServiceShard::InsertRows(LiveTableRows&& rows, AddReport* report) {
@@ -314,7 +389,9 @@ Status ServiceShard::InsertRows(LiveTableRows&& rows, AddReport* report) {
     p.entities.emplace_back(ref, std::move(vec));
   }
   WriterMutexLock lock(&mu_);
+  const size_t first_slot = slots_.size();
   InsertPreparedLocked(std::move(rows.table), rows.id, std::move(p), report);
+  ExtendGraphsLocked(first_slot);
   return Status::OK();
 }
 
@@ -372,30 +449,10 @@ void ServiceShard::BuildHnswLocked() {
   ent_hnsw_ = std::make_unique<HnswIndex>(ServiceEntityDim(*system_), hopts);
   // Inserting in row order reproduces the graph an always-on shard
   // would have built incrementally — node id i IS matrix row i, so no
-  // id remap exists anywhere. Same must-insert contract as
-  // InsertPreparedLocked: widths were validated when the rows were
-  // stored, a rejection is a programming error.
-  auto must_insert = [](Status st) {
-    if (!st.ok()) {
-      TABBIN_LOG(ERROR) << "ServiceShard: hnsw build rejected: "
-                        << st.ToString();
-    }
-  };
-  for (size_t r = 0; r < col_vecs_.rows(); ++r) {
-    must_insert(col_hnsw_->Insert(col_vecs_, static_cast<int>(r)));
-  }
-  for (size_t r = 0; r < tbl_vecs_.rows(); ++r) {
-    must_insert(tbl_hnsw_->Insert(tbl_vecs_, static_cast<int>(r)));
-  }
-  for (size_t r = 0; r < ent_vecs_.rows(); ++r) {
-    must_insert(ent_hnsw_->Insert(ent_vecs_, static_cast<int>(r)));
-  }
-  // Tombstone rows whose owning slot died before the build: searches
-  // route through them but never return them, exactly as if MarkDead
-  // had been called at removal time.
-  for (const TableSlot& s : slots_) {
-    if (!s.live) MarkSlotDeadInHnswLocked(s);
-  }
+  // id remap exists anywhere. Rows whose owning slot died before the
+  // build are tombstoned after it: searches route through them but
+  // never return them, exactly as if MarkDead had run at removal time.
+  ExtendGraphsLocked(0);
 }
 
 void ServiceShard::MarkSlotDeadInHnswLocked(const TableSlot& s) {
@@ -475,23 +532,9 @@ Status ServiceShard::Compact() {
     tbl_vecs_.EnableQuantization();
     ent_vecs_.EnableQuantization();
   }
-  if (options_.index_kind == kIndexHnsw) {
-    // Fresh empty graphs: the re-inserts below rebuild them over the
-    // surviving rows only — this is the rebuild-on-Compact that drops
-    // tombstoned waypoints for real.
-    const HnswOptions hopts{options_.hnsw_m, options_.hnsw_ef_construction,
-                            options_.lsh_seed};
-    col_hnsw_ =
-        std::make_unique<HnswIndex>(ServiceColumnDim(*system_), hopts);
-    tbl_hnsw_ =
-        std::make_unique<HnswIndex>(ServiceTableDim(*system_), hopts);
-    ent_hnsw_ =
-        std::make_unique<HnswIndex>(ServiceEntityDim(*system_), hopts);
-  } else {
-    col_hnsw_.reset();
-    tbl_hnsw_.reset();
-    ent_hnsw_.reset();
-  }
+  col_hnsw_.reset();
+  tbl_hnsw_.reset();
+  ent_hnsw_.reset();
 
   AddReport discard;
   for (LiveTableRows& rows : live) {
@@ -502,6 +545,9 @@ Status ServiceShard::Compact() {
     InsertPreparedLocked(std::move(rows.table), rows.id, std::move(p),
                          &discard);
   }
+  // Fresh graphs over the surviving rows only — the rebuild-on-Compact
+  // that drops tombstoned waypoints for real.
+  if (options_.index_kind == kIndexHnsw) BuildHnswLocked();
   return Status::OK();
 }
 
@@ -1042,33 +1088,15 @@ Status ServiceShard::ExportLiveLocked(std::vector<LiveTableRows>* out) const {
 
 namespace {
 
-// Runs fn(i) for every shard index. With more than one shard and a
-// pool that actually has parallelism, shards 1..N-1 fan out across
-// ThreadPool::Global() while shard 0 runs on the calling thread, and
-// the call joins before returning; on a single-core pool (or a single
-// shard) everything runs inline — per-shard ranking is cheap, and
-// submit/join overhead would only serialize queries behind the one
-// worker. fn writes only to its own slot of any result vector, so no
-// synchronization is needed beyond the join.
-template <typename Fn>
-void ForEachShard(const std::vector<ServiceShard*>& shards, const Fn& fn) {
-  // Inline when called FROM a pool worker: submitting shard chunks back
-  // into the same global pool and blocking on their futures wedges
-  // permanently once every worker is blocked in exactly this spot (a
-  // query fanned out from inside a submitted task — e.g. a caller doing
-  // its own ParallelFor over queries — would otherwise deadlock).
-  if (shards.size() <= 1 || ThreadPool::Global().num_threads() <= 1 ||
-      ThreadPool::InPoolWorker()) {
-    for (size_t i = 0; i < shards.size(); ++i) fn(i);
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(shards.size() - 1);
-  for (size_t i = 1; i < shards.size(); ++i) {
-    futures.push_back(ThreadPool::Global().Submit([&fn, i] { fn(i); }));
-  }
-  fn(0);
-  for (auto& f : futures) f.get();
+// Runs fn(i) for every shard index across ThreadPool::Global(), the
+// calling thread included (FanOut; inline for one shard or a one-worker
+// pool). The caller never blocks on a queued pool task, so this is safe
+// from a pool worker and while a writer holds shard locks that queued
+// tasks wait on. fn writes only to its own slot of any result vector, so
+// no synchronization is needed beyond the join.
+void ForEachShard(const std::vector<ServiceShard*>& shards,
+                  const std::function<void(size_t)>& fn) {
+  FanOut(ThreadPool::Global(), shards.size(), fn);
 }
 
 // A free-text question enters the embedding space as a minimal table:
@@ -1188,17 +1216,29 @@ Result<AddReport> ScatterAddTables(const ServingCore& core,
     shard_ids[s].push_back(std::move(ids[i]));
     shard_prepared[s].push_back(std::move(prepared[i]));
   }
-  // Per-shard inserts are cheap memory operations; run them serially so
-  // the report needs no synchronization. Each shard's batch is applied
-  // atomically under that shard's writer lock; cross-shard visibility
-  // is per-shard (a reader may observe shard A's half of a batch before
-  // shard B's).
-  for (size_t s = 0; s < shards.size(); ++s) {
-    if (shard_tables[s].empty()) continue;
+  // Take every touched shard's writer lock in shard order (so concurrent
+  // batches cannot deadlock on each other). Under its lock, each shard
+  // appends its part of the batch on this thread — slots, refs, matrix
+  // rows, LSH, postings, the report — and collects its pending graph
+  // inserts. With all locks held, the graph inserts of every
+  // (shard, graph) pair run at once. The nesting is a recursion: each
+  // InsertBatch holds its lock while it calls on to the next touched
+  // shard, and the innermost call builds the graphs. Each shard's part
+  // of the batch thus appears atomically; a reader may still observe
+  // shard A's part before shard B's as the locks are released.
+  std::vector<ServiceShard::GraphExtension> pending;
+  std::function<void(size_t)> insert_from = [&](size_t s) {
+    while (s < shards.size() && shard_tables[s].empty()) ++s;
+    if (s == shards.size()) {
+      ExtendGraphs(&pending);
+      return;
+    }
     shards[s]->InsertBatch(std::move(shard_tables[s]),
                            std::move(shard_ids[s]),
-                           std::move(shard_prepared[s]), &report);
-  }
+                           std::move(shard_prepared[s]), &report, &pending,
+                           [&insert_from, s] { insert_from(s + 1); });
+  };
+  insert_from(0);
   return report;
 }
 

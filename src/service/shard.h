@@ -24,6 +24,7 @@
 #ifndef TABBIN_SERVICE_SHARD_H_
 #define TABBIN_SERVICE_SHARD_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -154,6 +155,20 @@ class ServiceShard {
     std::vector<std::pair<EntityRef, std::vector<float>>> entities;
   };
 
+  /// \brief One graph's pending inserts: rows [begin, end) of *vecs in
+  /// row order, then tombstones for the rows among them whose slot died
+  /// before they were linked (a table replaced inside the same batch).
+  /// Plain pointers, collected under the owning shard's writer lock,
+  /// which stays held until the extension has run — so the job that
+  /// runs it never names a guarded member.
+  struct GraphExtension {
+    HnswIndex* graph = nullptr;
+    const EmbeddingMatrix* vecs = nullptr;
+    int begin = 0;
+    int end = 0;
+    std::vector<int> dead_after;
+  };
+
   ServiceShard(const TabBiNSystem* system, const ServiceOptions& options);
 
   ServiceShard(const ServiceShard&) = delete;
@@ -169,11 +184,16 @@ class ServiceShard {
   // --- Writes (exclusive lock, taken internally) ------------------------
 
   /// \brief Appends prepared tables as live slots (tombstoning previous
-  /// holders of re-used ids). Pure memory operation — encoding happened
-  /// in Prepare, outside any lock.
+  /// holders of re-used ids) under the writer lock. Encoding happened in
+  /// Prepare, outside any lock. The graph inserts the batch needs are
+  /// appended to `pending` rather than run; `then` is called while the
+  /// lock is still held and must run them before it returns. ScatterAddTables chains these calls to hold every touched
+  /// shard's lock at once and build all their graphs in one fan-out,
+  /// while each shard's part of the batch still appears atomically.
   void InsertBatch(std::vector<Table> tables, std::vector<std::string> ids,
-                   std::vector<PreparedTable> prepared, AddReport* report)
-      TABBIN_EXCLUDES(mu_);
+                   std::vector<PreparedTable> prepared, AddReport* report,
+                   std::vector<GraphExtension>* pending,
+                   const std::function<void()>& then) TABBIN_EXCLUDES(mu_);
 
   /// \brief Re-inserts one table from stored embedding rows (snapshot
   /// restore / re-partitioning): validates widths, then inserts without
@@ -354,9 +374,24 @@ class ServiceShard {
   // friendship does not bypass TABBIN_GUARDED_BY).
   friend class TabBinService;
 
+  // Appends one table's slot, refs, matrix rows, LSH entries and
+  // postings. The graphs are not touched beyond tombstoning the linked
+  // rows of a replaced slot: the caller extends them afterwards
+  // (CollectGraphExtensionsLocked / ExtendGraphsLocked).
   void InsertPreparedLocked(Table table, const std::string& id,
                             PreparedTable&& prepared, AddReport* report)
       TABBIN_REQUIRES(mu_);
+
+  /// \brief Appends one GraphExtension per graph that lags its matrix,
+  /// reserving the graph's storage on the calling thread. Rows of dead
+  /// slots at index >= first_slot go into dead_after (rows linked
+  /// earlier were tombstoned when their slot died).
+  void CollectGraphExtensionsLocked(size_t first_slot,
+                                    std::vector<GraphExtension>* out)
+      TABBIN_REQUIRES(mu_);
+
+  /// \brief Collects and runs this shard's graph extensions.
+  void ExtendGraphsLocked(size_t first_slot) TABBIN_REQUIRES(mu_);
 
   Status ExportLiveLocked(std::vector<LiveTableRows>* out) const
       TABBIN_REQUIRES_SHARED(mu_);
@@ -382,7 +417,8 @@ class ServiceShard {
 
   /// \brief Builds the three HNSW graphs from the current matrix rows
   /// (in row order — deterministic), marking rows of tombstoned slots
-  /// dead. Writer lock held by the caller.
+  /// dead. Writer lock held by the caller. The three graphs build in
+  /// parallel (ExtendGraphsLocked).
   void BuildHnswLocked() TABBIN_REQUIRES(mu_);
 
   /// \brief Marks every index row owned by `s` dead in the graphs

@@ -1,12 +1,61 @@
 #include "tasks/lsh.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "tensor/kernels.h"
 #include "util/snapshot.h"
 
 namespace tabbin {
+
+std::vector<int> MergeBucketIds(
+    const std::vector<const std::vector<int>*>& buckets) {
+  std::vector<int> out;
+  size_t total = 0;
+  int lo = std::numeric_limits<int>::max();
+  int hi = std::numeric_limits<int>::min();
+  for (const std::vector<int>* bucket : buckets) {
+    total += bucket->size();
+    for (int id : *bucket) {
+      lo = std::min(lo, id);
+      hi = std::max(hi, id);
+    }
+  }
+  if (total == 0) return out;
+  const uint64_t span = static_cast<uint64_t>(int64_t{hi} - lo) + 1;
+  if (lo < 0 || span > 64 * static_cast<uint64_t>(total)) {
+    out.reserve(total);
+    for (const std::vector<int>* bucket : buckets) {
+      out.insert(out.end(), bucket->begin(), bucket->end());
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  }
+  // One bit per id in [lo, hi]. The span bound keeps the bitmap no
+  // larger than the concatenated ids a sort would have copied.
+  std::vector<uint64_t> bits((span + 63) / 64, 0);
+  for (const std::vector<int>* bucket : buckets) {
+    for (int id : *bucket) {
+      const uint64_t off = static_cast<uint64_t>(id - lo);
+      bits[off / 64] |= uint64_t{1} << (off % 64);
+    }
+  }
+  size_t distinct = 0;
+  for (uint64_t word : bits) {
+    distinct += static_cast<size_t>(__builtin_popcountll(word));
+  }
+  out.reserve(distinct);
+  for (size_t w = 0; w < bits.size(); ++w) {
+    // Lowest set bit first: ascending ids within the word.
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      const int bit = __builtin_ctzll(word);
+      out.push_back(lo + static_cast<int>(w * 64) + bit);
+    }
+  }
+  return out;
+}
 
 LshIndex::LshIndex(int dim, int num_bits, int num_tables, uint64_t seed)
     : dim_(dim),
@@ -189,32 +238,18 @@ std::vector<uint64_t> LshIndex::QueryKeys(VecView vec) const {
 
 std::vector<int> LshIndex::QueryByKeys(
     const std::vector<uint64_t>& keys) const {
-  std::vector<int> out;
-  if (keys.size() != static_cast<size_t>(num_tables_)) return out;
-  // Two passes: collect the per-table bucket hits first, then bulk-copy
-  // into one exactly-sized buffer and merge with a single sort+unique.
-  // At high collision rates the buckets hold many duplicate ids; growing
-  // `out` incrementally per table reallocated repeatedly for the same
-  // final contents.
+  if (keys.size() != static_cast<size_t>(num_tables_)) return {};
   std::vector<const std::vector<int>*> hits;
   hits.reserve(static_cast<size_t>(num_tables_));
-  size_t total = 0;
   for (int t = 0; t < num_tables_; ++t) {
     const auto& table = tables_[static_cast<size_t>(t)];
     auto it = table.find(keys[static_cast<size_t>(t)]);
     if (it == table.end() || it->second.empty()) continue;
     hits.push_back(&it->second);
-    total += it->second.size();
   }
-  out.reserve(total);
-  for (const std::vector<int>* bucket : hits) {
-    out.insert(out.end(), bucket->begin(), bucket->end());
-  }
-  // Sorted + deduplicated: candidate order must not depend on
-  // unordered_set iteration order (platform-specific), or downstream
-  // clustering results drift across standard libraries.
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  // Sorted + deduplicated: candidate order must not depend on bucket
+  // order, or downstream clustering results drift.
+  std::vector<int> out = MergeBucketIds(hits);
   stat_queries_.fetch_add(1, std::memory_order_relaxed);
   stat_candidates_.fetch_add(out.size(), std::memory_order_relaxed);
   return out;

@@ -16,6 +16,15 @@
 
 namespace tabbin {
 
+/// \brief The sorted, duplicate-free union of the ids in `buckets` —
+/// what sort + unique over their concatenation returns. When the ids
+/// are dense (max - min + 1 <= 64 x the total hit count) and none is
+/// negative, they are marked in a bitmap over [min, max] and read back
+/// in ascending order, which is linear in the hits instead of
+/// n log n; otherwise it falls back to sort + unique.
+std::vector<int> MergeBucketIds(
+    const std::vector<const std::vector<int>*>& buckets);
+
 /// \brief Multi-table random-hyperplane LSH over dense float vectors.
 class LshIndex {
  public:

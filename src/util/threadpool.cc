@@ -1,7 +1,9 @@
 #include "util/threadpool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
+#include <memory>
 
 namespace tabbin {
 
@@ -77,6 +79,73 @@ void ThreadPool::WorkerLoop() {
     }
     task();
   }
+}
+
+namespace {
+
+// What FanOut's caller and its helpers share. Owned by a shared_ptr, so
+// a helper that starts after FanOut returned still has a valid counter
+// to find exhausted.
+struct FanOutState {
+  FanOutState(size_t n, const std::function<void(size_t)>* fn)
+      : n(n), fn(fn) {}
+
+  const size_t n;
+  // Dereferenced only after claiming a job index below n. FanOut does
+  // not return before every claimed job has finished, so the caller's
+  // function is still alive whenever this is called through.
+  const std::function<void(size_t)>* const fn;
+  std::atomic<size_t> next{0};
+  Mutex mu;
+  std::condition_variable_any done_cv;
+  size_t finished TABBIN_GUARDED_BY(mu) = 0;
+  std::exception_ptr error TABBIN_GUARDED_BY(mu);
+};
+
+// Claims and runs jobs until none is left.
+void RunFanOutJobs(FanOutState& st) {
+  for (;;) {
+    const size_t i = st.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= st.n) return;
+    std::exception_ptr error;
+    try {
+      (*st.fn)(i);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    MutexLock lock(&st.mu);
+    if (error && !st.error) st.error = error;
+    if (++st.finished == st.n) st.done_cv.notify_all();
+  }
+}
+
+}  // namespace
+
+void FanOut(ThreadPool& pool, size_t n,
+            const std::function<void(size_t)>& fn) {
+  if (n == 0) return;
+  // The caller is one of the runners, so a pool of P workers gets P - 1
+  // helpers: P threads in all, one per core of a default pool.
+  const size_t helpers = std::min(n - 1, pool.num_threads() - 1);
+  if (helpers == 0) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  auto shared = std::make_shared<FanOutState>(n, &fn);
+  for (size_t h = 0; h < helpers; ++h) {
+    // The future is dropped on purpose: nobody ever waits on a queued
+    // helper, only on jobs a started helper has claimed.
+    (void)pool.Submit([shared] { RunFanOutJobs(*shared); });
+  }
+  FanOutState& st = *shared;
+  RunFanOutJobs(st);
+  std::exception_ptr error;
+  {
+    MutexLock lock(&st.mu);
+    while (st.finished < n) st.done_cv.wait(st.mu);
+    error = st.error;
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& ThreadPool::Global() {

@@ -64,6 +64,22 @@ class ThreadPool {
   bool shutdown_ TABBIN_GUARDED_BY(mu_) = false;
 };
 
+/// \brief Runs fn(i) for every i in [0, n) on the calling thread plus up
+/// to pool.num_threads() - 1 pool helpers; returns once all n calls have
+/// finished.
+///
+/// The caller helps: it claims jobs from a shared atomic counter and runs
+/// them itself, exactly like the helpers do. It then waits only for jobs
+/// that a running helper has already claimed — never for a task still
+/// queued in the pool. So FanOut is safe to call while holding locks that
+/// queued pool tasks block on, and from inside a pool worker: if no helper
+/// ever starts, the caller simply runs every job. Helpers that start after
+/// the last job was claimed find nothing to do (the state they touch is
+/// shared-owned, so it outlives the call). If fn throws, the first
+/// exception is rethrown once every claimed job has finished.
+void FanOut(ThreadPool& pool, size_t n,
+            const std::function<void(size_t)>& fn);
+
 /// \brief Runs fn(i) for i in [begin, end) across the global pool.
 ///
 /// Falls back to a serial loop for small ranges, when called from a

@@ -14,8 +14,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +26,8 @@
 #include "datagen/corpus_gen.h"
 #include "service/sharded_service.h"
 #include "service/table_service.h"
+#include "store/paged_snapshot.h"
+#include "util/threadpool.h"
 #include "util/snapshot.h"
 
 namespace tabbin {
@@ -227,6 +232,142 @@ TEST(ShardedServiceTest, ParallelCompactMatchesSingleShardForLshAndHnsw) {
     EXPECT_EQ(svc.NumIndexedColumns(), ref.NumIndexedColumns());
     ExpectEquivalent(ref, svc, live);
   }
+}
+
+// The graph sections ("store.s<i>.hnsw.*") of a service's v2 store,
+// by name.
+std::map<std::string, std::vector<uint8_t>> GraphSections(
+    const ShardedTabBinService& svc, const std::string& path) {
+  PagedSnapshotWriter w;
+  svc.AppendStore(&w);
+  EXPECT_TRUE(w.ToFile(path).ok());
+  auto reader = PagedSnapshotReader::Open(path);
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  std::map<std::string, std::vector<uint8_t>> out;
+  if (!reader.ok()) return out;
+  for (const std::string& name : reader.value().SectionNames()) {
+    if (name.find(".hnsw.") == std::string::npos) continue;
+    auto span = reader.value().SectionSpan(name);
+    EXPECT_TRUE(span.ok()) << name;
+    if (span.ok()) {
+      out[name].assign(span.value().data,
+                       span.value().data + span.value().size);
+    }
+  }
+  std::remove(path.c_str());
+  return out;
+}
+
+void ExpectSameReport(const AddReport& a, const AddReport& b) {
+  EXPECT_EQ(a.tables_added, b.tables_added);
+  EXPECT_EQ(a.tables_replaced, b.tables_replaced);
+  EXPECT_EQ(a.columns_indexed, b.columns_indexed);
+  EXPECT_EQ(a.entities_indexed, b.entities_indexed);
+}
+
+ServiceOptions ExactHnswOptions() {
+  ServiceOptions opts;
+  opts.index_kind = kIndexHnsw;
+  opts.hnsw_ef_search = 4096;  // the beam covers every node: exact walks
+  return opts;
+}
+
+// One AddTables of the whole corpus builds every touched shard's graphs
+// at once, one job per (shard, graph). Adding the same tables one at a
+// time touches a single shard per call. Both must give byte-identical
+// graphs (each graph still links its rows in row order), the same
+// report and the same answers. The batch carries two ids twice, so the
+// first copies die inside the batch, before their rows are linked, and
+// their tombstones (part of the graph bytes) must still be set.
+TEST(ShardedServiceTest, ParallelGraphBuildMatchesOneTableAtATime) {
+  const auto& tables = SharedCorpus().corpus.tables;
+  std::vector<Table> batch(tables.begin(), tables.end());
+  std::vector<Table> live(tables.begin(), tables.end());
+  for (size_t i : {size_t{4}, size_t{11}}) {
+    Table revised = tables[i];
+    revised.set_caption("revised " + tables[i].caption());
+    batch.push_back(revised);
+    live[i] = revised;
+  }
+  for (int shards : {4, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedTabBinService at_once(SharedSystem(), shards, ExactHnswOptions());
+    ShardedTabBinService one_by_one(SharedSystem(), shards,
+                                    ExactHnswOptions());
+    auto report = at_once.AddTables(batch);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    AddReport summed;
+    for (const Table& t : batch) {
+      auto r = one_by_one.AddTables({t});
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      summed.tables_added += r.value().tables_added;
+      summed.tables_replaced += r.value().tables_replaced;
+      summed.columns_indexed += r.value().columns_indexed;
+      summed.entities_indexed += r.value().entities_indexed;
+    }
+    ExpectSameReport(report.value(), summed);
+    EXPECT_EQ(report.value().tables_replaced, 2);
+
+    const auto batch_graphs =
+        GraphSections(at_once, "/tmp/tabbin_graph_batch.tbsn");
+    const auto single_graphs =
+        GraphSections(one_by_one, "/tmp/tabbin_graph_single.tbsn");
+    EXPECT_EQ(batch_graphs.size(), static_cast<size_t>(6 * shards));
+    ASSERT_EQ(batch_graphs.size(), single_graphs.size());
+    for (const auto& [name, bytes] : batch_graphs) {
+      auto it = single_graphs.find(name);
+      ASSERT_NE(it, single_graphs.end()) << name;
+      EXPECT_TRUE(bytes == it->second) << name << " differs";
+    }
+    ExpectEquivalent(one_by_one, at_once, live);
+  }
+}
+
+// A table replaced inside the batch that first added it dies before its
+// graph rows are linked. Its rows are tombstoned after the inserts, so
+// no answer ever carries the dead copy, and every candidate count equals
+// the one-at-a-time service's.
+TEST(ShardedServiceTest, SameIdTwiceInOneBatchNeverServesTheDeadCopy) {
+  const auto& tables = SharedCorpus().corpus.tables;
+  Table dead = tables[3];
+  dead.set_caption("dead copy");
+  Table kept = tables[3];
+  kept.set_caption("kept copy");
+  std::vector<Table> batch = {dead};
+  batch.insert(batch.end(), tables.begin(), tables.end());
+  batch.push_back(kept);
+
+  ShardedTabBinService svc(SharedSystem(), 8, ExactHnswOptions());
+  ShardedTabBinService ref(SharedSystem(), 8, ExactHnswOptions());
+  auto report = svc.AddTables(batch);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().tables_added, static_cast<int>(tables.size()));
+  EXPECT_EQ(report.value().tables_replaced, 2);
+  for (const Table& t : batch) ASSERT_TRUE(ref.AddTables({t}).ok());
+
+  const std::string id = tables[3].id();
+  auto expect_no_dead_copy = [&](const Result<QueryResponse>& got,
+                                 const Result<QueryResponse>& want) {
+    ASSERT_TRUE(got.ok() && want.ok());
+    EXPECT_EQ(got.value().candidates, want.value().candidates);
+    ExpectSameMatches(got.value().matches, want.value().matches);
+    std::set<std::pair<int, int>> seen;  // (col, row) of the id's matches
+    for (const ServiceMatch& m : got.value().matches) {
+      if (m.table_id != id) continue;
+      EXPECT_EQ(m.caption, "kept copy");
+      EXPECT_TRUE(seen.emplace(m.col, m.row).second)
+          << "the id is returned twice at col " << m.col;
+    }
+  };
+  // The dead copy's own content as an inline probe: it would score 1.0.
+  expect_no_dead_copy(svc.SimilarTables({"", &dead, 40}),
+                      ref.SimilarTables({"", &dead, 40}));
+  for (int c = dead.vmd_cols(); c < dead.cols(); ++c) {
+    expect_no_dead_copy(svc.SimilarColumns({"", &dead, c, 40}),
+                        ref.SimilarColumns({"", &dead, c, 40}));
+  }
+  expect_no_dead_copy(svc.SimilarTables({id, nullptr, 40}),
+                      ref.SimilarTables({id, nullptr, 40}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, ShardedEquivalenceTest,
@@ -596,6 +737,69 @@ TEST(ShardedServiceStressTest, WriterCompletesWhileReadersHammerOtherShards) {
             60)
       << "writer starved: per-shard locks must keep foreign-read traffic "
          "off the writer's critical path";
+}
+
+// A multi-shard AddTables holds every touched shard's writer lock while
+// the graphs build on ThreadPool::Global(). Readers fan their shard
+// probes out onto the same pool, and those jobs block on the held
+// locks. With enough readers, every pool worker sits in such a job. Had
+// the writer queued its graph jobs behind them and blocked on their
+// futures, nothing could ever run them: the writer waits on the
+// workers, the workers on the writer's locks. The writer instead helps
+// run its own jobs and waits only for jobs a running worker claimed, so
+// every batch completes. A watchdog turns a hang into a failure.
+TEST(ShardedServiceStressTest, AddTablesFinishesWhileReaderFanOutsFillPool) {
+  constexpr int kShards = 8;
+  constexpr int kBatches = 6;
+  const auto& tables = SharedCorpus().corpus.tables;
+  ShardedTabBinService svc(SharedSystem(), kShards, ExactHnswOptions());
+  ASSERT_TRUE(svc.AddTables(tables).ok());
+
+  // Several readers per worker, so blocked fan-out jobs keep the pool's
+  // queue ahead of the writer's graph jobs.
+  const size_t readers_n = 4 * ThreadPool::Global().num_threads() + 4;
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  readers.reserve(readers_n);
+  for (size_t r = 0; r < readers_n; ++r) {
+    readers.emplace_back([&, r] {
+      size_t i = r % tables.size();
+      while (!stop.load(std::memory_order_relaxed)) {
+        const Table& t = tables[i];
+        i = (i + 1) % tables.size();
+        if (!svc.SimilarColumns({t.id(), nullptr, t.vmd_cols(), 5}).ok()) {
+          ++failures;
+        }
+      }
+    });
+  }
+
+  std::promise<void> writer_done;
+  std::future<void> done = writer_done.get_future();
+  std::atomic<int> write_failures{0};
+  std::thread writer([&] {
+    for (int b = 0; b < kBatches; ++b) {
+      std::vector<Table> batch(tables.begin(), tables.end());
+      for (Table& t : batch) {
+        t.set_caption("batch " + std::to_string(b) + " " + t.caption());
+      }
+      if (!svc.AddTables(batch).ok()) ++write_failures;
+    }
+    writer_done.set_value();
+  });
+  if (done.wait_for(std::chrono::minutes(5)) != std::future_status::ready) {
+    std::fprintf(stderr,
+                 "AddTables did not finish: graph jobs are stuck behind "
+                 "pool workers blocked on the writer's shard locks\n");
+    std::abort();
+  }
+  writer.join();
+  stop = true;
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(write_failures.load(), 0);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(svc.NumLiveTables(), tables.size());
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 // Tests for metrics, LSH blocking, and the clustering harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "tasks/clustering.h"
 #include "tasks/lsh.h"
@@ -229,6 +232,68 @@ TEST(LshTest, QueryByKeysMatchesPerTableLookupMerge) {
     EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end());
     EXPECT_NE(std::find(got.begin(), got.end(), probe), got.end());
   }
+}
+
+// The reference merge MergeBucketIds replaced: concatenate, sort, unique.
+std::vector<int> SortUniqueMerge(
+    const std::vector<const std::vector<int>*>& buckets) {
+  std::vector<int> out;
+  for (const std::vector<int>* b : buckets) {
+    out.insert(out.end(), b->begin(), b->end());
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+TEST(LshTest, BitmapBucketMergeMatchesSortUnique) {
+  // Random buckets in the shapes QueryByKeys meets (dense overlapping
+  // ids, the bitmap path) and the shapes that must fall back (sparse
+  // spans, negative ids), plus empty inputs. Every one must equal the
+  // sort + unique reference exactly.
+  Rng rng(14);
+  struct Shape {
+    const char* name;
+    int64_t lo, span;
+    int buckets, max_len;
+  };
+  const Shape shapes[] = {
+      {"dense", 0, 500, 12, 400},
+      {"dense-offset", 1000000, 3000, 12, 600},
+      {"one-id", 7, 1, 3, 5},
+      {"sparse", 0, 2000000000, 12, 50},
+      {"negative", -300, 600, 12, 100},
+      {"int-extremes", std::numeric_limits<int>::min(),
+       int64_t{std::numeric_limits<int>::max()} -
+           std::numeric_limits<int>::min() + 1,
+       4, 20},
+  };
+  for (const Shape& shape : shapes) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<std::vector<int>> storage(
+          static_cast<size_t>(shape.buckets));
+      for (auto& bucket : storage) {
+        const uint64_t len =
+            rng.Uniform(static_cast<uint64_t>(shape.max_len));
+        for (uint64_t i = 0; i < len; ++i) {
+          const uint64_t off = rng.Uniform(static_cast<uint64_t>(shape.span));
+          bucket.push_back(
+              static_cast<int>(shape.lo + static_cast<int64_t>(off)));
+        }
+      }
+      if (std::string(shape.name) == "int-extremes") {
+        storage[0].push_back(std::numeric_limits<int>::min());
+        storage[1].push_back(std::numeric_limits<int>::max());
+      }
+      std::vector<const std::vector<int>*> buckets;
+      for (const auto& b : storage) buckets.push_back(&b);
+      EXPECT_EQ(MergeBucketIds(buckets), SortUniqueMerge(buckets))
+          << shape.name << " trial " << trial;
+    }
+  }
+  EXPECT_TRUE(MergeBucketIds({}).empty());
+  const std::vector<int> empty;
+  EXPECT_TRUE(MergeBucketIds({&empty, &empty}).empty());
 }
 
 // ---------------------------------------------------------------------------

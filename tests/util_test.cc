@@ -5,8 +5,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -374,6 +377,54 @@ TEST(ThreadPoolTest, ParallelForThrowingFnDrainsAllChunksFirst) {
   for (size_t i = (n + 1) / 2; i < n; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i
                                  << " skipped: chunks were not drained";
+  }
+}
+
+TEST(ThreadPoolTest, FanOutRunsEveryJobOnce) {
+  ThreadPool pool(4);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{64}}) {
+    std::vector<std::atomic<int>> hits(n);
+    FanOut(pool, n, [&hits](size_t i) { hits[i]++; });
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << "n=" << n;
+  }
+}
+
+// The caller helps and never waits on a queued helper: with every
+// worker blocked until the fan-out is over, the caller runs all jobs
+// itself and returns. A fan-out that blocked on its submitted tasks
+// would wait here forever.
+TEST(ThreadPoolTest, FanOutCompletesWhileEveryWorkerIsBlocked) {
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::vector<std::future<void>> blockers;
+  for (size_t w = 0; w < pool.num_threads(); ++w) {
+    blockers.push_back(pool.Submit([released] { released.wait(); }));
+  }
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0};
+  FanOut(pool, 16, [&](size_t) {
+    if (std::this_thread::get_id() == caller) on_caller++;
+  });
+  EXPECT_EQ(on_caller.load(), 16);
+  release.set_value();
+  for (auto& b : blockers) b.get();
+}
+
+TEST(ThreadPoolTest, FanOutRethrowsAfterEveryClaimedJobFinished) {
+  ThreadPool pool(4);
+  const size_t n = 64;
+  std::vector<std::atomic<int>> hits(n);
+  EXPECT_THROW(FanOut(pool, n,
+                      [&hits](size_t i) {
+                        if (i == 5) throw std::runtime_error("job boom");
+                        hits[i]++;
+                      }),
+               std::runtime_error);
+  // Every job but the throwing one ran to completion before the throw
+  // reached the caller.
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(hits[i].load(), i == 5 ? 0 : 1) << "job " << i;
   }
 }
 
