@@ -121,6 +121,21 @@ std::unordered_map<std::string, int> ServiceDocTermFrequencies(
 
 namespace {
 
+// Links rows [begin, end) of the extension's graph in row order, then
+// tombstones its dead_after rows.
+void RunGraphExtension(const ServiceShard::GraphExtension& e) {
+  for (int r = e.begin; r < e.end; ++r) {
+    // Widths were validated when the rows were stored, so a rejection is
+    // a programming error.
+    const Status st = e.graph->Insert(*e.vecs, r);
+    if (!st.ok()) {
+      TABBIN_LOG(ERROR) << "ServiceShard: hnsw insert rejected: "
+                        << st.ToString();
+    }
+  }
+  for (int r : e.dead_after) e.graph->MarkDead(r);
+}
+
 // Runs every extension as its own job, fanned out across
 // ThreadPool::Global() with the calling thread helping (FanOut). Each
 // graph still inserts its rows in row order, so the graphs are the same
@@ -134,17 +149,7 @@ void ExtendGraphs(std::vector<ServiceShard::GraphExtension>* extensions) {
                      return a.end - a.begin > b.end - b.begin;
                    });
   FanOut(ThreadPool::Global(), extensions->size(), [extensions](size_t i) {
-    GraphExtension& e = (*extensions)[i];
-    for (int r = e.begin; r < e.end; ++r) {
-      // Widths were validated when the rows were stored, so a rejection
-      // is a programming error.
-      const Status st = e.graph->Insert(*e.vecs, r);
-      if (!st.ok()) {
-        TABBIN_LOG(ERROR) << "ServiceShard: hnsw insert rejected: "
-                          << st.ToString();
-      }
-    }
-    for (int r : e.dead_after) e.graph->MarkDead(r);
+    RunGraphExtension((*extensions)[i]);
   });
 }
 
@@ -391,7 +396,12 @@ Status ServiceShard::InsertRows(LiveTableRows&& rows, AddReport* report) {
   WriterMutexLock lock(&mu_);
   const size_t first_slot = slots_.size();
   InsertPreparedLocked(std::move(rows.table), rows.id, std::move(p), report);
-  ExtendGraphsLocked(first_slot);
+  // Loaders call this once per table: a handful of rows per graph is not
+  // worth a fan-out, and linking them here keeps the graphs' upper-level
+  // lists in this thread's malloc arena.
+  std::vector<GraphExtension> extensions;
+  CollectGraphExtensionsLocked(first_slot, &extensions);
+  for (const GraphExtension& e : extensions) RunGraphExtension(e);
   return Status::OK();
 }
 
@@ -1225,7 +1235,9 @@ Result<AddReport> ScatterAddTables(const ServingCore& core,
   // InsertBatch holds its lock while it calls on to the next touched
   // shard, and the innermost call builds the graphs. Each shard's part
   // of the batch thus appears atomically; a reader may still observe
-  // shard A's part before shard B's as the locks are released.
+  // shard A's part before shard B's as the locks are released. One shard
+  // at a time would run at most three jobs at once, bounded by that
+  // shard's entity graph, the largest of the three.
   std::vector<ServiceShard::GraphExtension> pending;
   std::function<void(size_t)> insert_from = [&](size_t s) {
     while (s < shards.size() && shard_tables[s].empty()) ++s;

@@ -187,9 +187,11 @@ class ServiceShard {
   /// holders of re-used ids) under the writer lock. Encoding happened in
   /// Prepare, outside any lock. The graph inserts the batch needs are
   /// appended to `pending` rather than run; `then` is called while the
-  /// lock is still held and must run them before it returns. ScatterAddTables chains these calls to hold every touched
-  /// shard's lock at once and build all their graphs in one fan-out,
-  /// while each shard's part of the batch still appears atomically.
+  /// lock is still held and must run them before it returns.
+  /// ScatterAddTables chains these calls to hold every touched shard's
+  /// lock at once and build all their graphs in one fan-out (one job per
+  /// shard and graph), while each shard's part of the batch still
+  /// appears atomically.
   void InsertBatch(std::vector<Table> tables, std::vector<std::string> ids,
                    std::vector<PreparedTable> prepared, AddReport* report,
                    std::vector<GraphExtension>* pending,

@@ -8,13 +8,7 @@
 namespace tabbin {
 
 namespace {
-// Set for the lifetime of a worker thread (any ThreadPool's). Checked
-// by fan-out helpers: a worker that submits chunks to its own pool and
-// blocks on their futures deadlocks once every worker is blocked the
-// same way, so fan-out from a worker runs inline instead. Deliberately
-// pool-agnostic — a worker of pool A fanning out onto pool B is still
-// one blocked-worker cycle away from the same wedge when B's workers
-// fan out onto A.
+// Set for the lifetime of a worker thread (any ThreadPool's).
 thread_local bool t_in_pool_worker = false;
 }  // namespace
 
@@ -161,39 +155,19 @@ void ParallelFor(size_t begin, size_t end,
 void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
                  const std::function<void(size_t)>& fn, size_t grain) {
   if (end <= begin) return;
-  size_t n = end - begin;
-  size_t workers = pool.num_threads();
-  if (n <= grain || workers <= 1 || ThreadPool::InPoolWorker()) {
+  const size_t n = end - begin;
+  if (n <= grain) {
     for (size_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  size_t chunks = std::min(workers * 2, (n + grain - 1) / grain);
-  size_t chunk_size = (n + chunks - 1) / chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t lo = begin + c * chunk_size;
-    size_t hi = std::min(end, lo + chunk_size);
-    if (lo >= hi) break;
-    futures.push_back(pool.Submit([lo, hi, &fn] {
-      for (size_t i = lo; i < hi; ++i) fn(i);
-    }));
-  }
-  // Drain EVERY chunk before letting any exception escape: the chunk
-  // lambdas hold fn by reference, so unwinding past this frame (and the
-  // caller's, which typically owns the std::function) while chunks are
-  // still queued would have them call through a dangling reference.
-  // Only the first exception propagates; later ones are swallowed with
-  // their chunks already safely finished.
-  std::exception_ptr first;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
+  const size_t chunks =
+      std::min(pool.num_threads() * 2, (n + grain - 1) / grain);
+  const size_t chunk_size = (n + chunks - 1) / chunks;
+  FanOut(pool, chunks, [&](size_t c) {
+    const size_t lo = begin + c * chunk_size;
+    const size_t hi = std::min(end, lo + chunk_size);
+    for (size_t i = lo; i < hi; ++i) fn(i);
+  });
 }
 
 }  // namespace tabbin

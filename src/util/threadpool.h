@@ -1,5 +1,5 @@
-// Fixed-size thread pool plus a ParallelFor helper used by the tensor
-// library and the dataset generators.
+// Fixed-size thread pool plus its fan-out helper, FanOut (n jobs, the
+// caller helping), and ParallelFor, a chunked index range over FanOut.
 #ifndef TABBIN_UTIL_THREADPOOL_H_
 #define TABBIN_UTIL_THREADPOOL_H_
 
@@ -43,10 +43,6 @@ class ThreadPool {
   size_t num_threads() const { return workers_.size(); }
 
   /// \brief True when the calling thread is a pool worker (any pool's).
-  /// Fan-out helpers consult this to run inline instead of submitting
-  /// chunks back into the pool and blocking on them — with every worker
-  /// blocked the same way, the queued chunks could never run and the
-  /// pool would wedge permanently.
   static bool InPoolWorker();
 
   /// \brief Process-wide shared pool (lazily constructed).
@@ -82,20 +78,18 @@ void FanOut(ThreadPool& pool, size_t n,
 
 /// \brief Runs fn(i) for i in [begin, end) across the global pool.
 ///
-/// Falls back to a serial loop for small ranges, when called from a
-/// pool worker (nested fan-out would deadlock once every worker blocks
-/// on chunks only the pool could run), or when the pool has one worker.
-/// If fn throws, every already-submitted chunk is drained before the
-/// first exception propagates — chunks capture fn by reference, so
-/// unwinding while chunks are still queued would leave them invoking a
-/// dangling reference.
+/// Runs serially for ranges of at most `grain` indices; otherwise splits
+/// the range into up to 2 x num_threads() chunks and runs them through
+/// FanOut, so it inherits FanOut's guarantees: safe from a pool worker
+/// and under held locks, and the first exception is rethrown only after
+/// every chunk has finished.
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)>& fn,
                  size_t grain = 1024);
 
 /// \brief Same, over an explicit pool (tests exercise the fan-out,
-/// drain, and nested-worker paths deterministically on machines whose
-/// global pool has a single worker).
+/// exception, and nested-worker paths on machines whose global pool
+/// has a single worker).
 void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
                  const std::function<void(size_t)>& fn,
                  size_t grain = 1024);

@@ -313,12 +313,12 @@ TEST(ThreadPoolTest, SubmitAfterShutdownPropagatesException) {
 }
 
 // Regression: ParallelFor called from a pool worker used to submit its
-// chunks to the same global pool and block on their futures; with every
+// chunks to the same pool and block on their futures; with every
 // worker blocked that way the chunks could never run and the pool
-// wedged permanently. The fix detects the worker context and runs
-// inline. This saturates a 4-worker pool with tasks that all nest a
-// ParallelFor large enough to fan out — pre-fix this deadlocks (the
-// ctest timeout is the failure), post-fix it completes. A local pool
+// wedged permanently. ParallelFor now runs through FanOut, whose caller
+// runs the chunks itself and never waits on a queued task. This
+// saturates a 4-worker pool with tasks that all nest a ParallelFor large
+// enough to fan out; a wedge shows as the ctest timeout. A local pool
 // (not Global()) keeps the test meaningful on single-core machines,
 // where the global pool has one worker and never fans out at all.
 TEST(ThreadPoolTest, NestedParallelForInsidePoolWorkerRunsInline) {
@@ -340,17 +340,15 @@ TEST(ThreadPoolTest, NestedParallelForInsidePoolWorkerRunsInline) {
   EXPECT_FALSE(ThreadPool::InPoolWorker());
 }
 
-// Regression: the submitted chunk lambdas capture fn by reference, and
-// f.get() used to rethrow the first chunk's exception while later
-// chunks were still queued — those then invoked a dangling reference
-// once the caller's std::function unwound (stack-use-after-scope under
-// ASan). The fix drains every chunk before propagating. Every
-// non-throwing index must still have executed by the time the
-// exception reaches the caller.
+// Regression: the chunks capture fn by reference, and ParallelFor once
+// rethrew the first chunk's exception while later chunks were still
+// queued — those then invoked a dangling reference once the caller's
+// std::function unwound (stack-use-after-scope under ASan). Every
+// non-throwing index must have executed by the time the exception
+// reaches the caller.
 TEST(ThreadPoolTest, ParallelForThrowingFnDrainsAllChunksFirst) {
-  // Explicit 4-worker pool: the drain path only exists when fan-out
-  // happens, and the global pool on a single-core machine never fans
-  // out (serial fallback).
+  // Explicit 4-worker pool: the global pool on a single-core machine
+  // never fans out (serial fallback).
   ThreadPool pool(4);
   const size_t n = 8192;
   std::vector<std::atomic<int>> hits(n);
